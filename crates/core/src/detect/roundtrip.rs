@@ -87,6 +87,10 @@ impl Serialize for TripList {
         // Identical to `Vec<RoundTrip>`: a plain sequence.
         (**self).to_value()
     }
+
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        (**self).write_json(w)
+    }
 }
 
 /// Round trips grouped by `(hash, src_device, dest_device)` as in the

@@ -964,6 +964,41 @@ mod tests {
         assert_eq!(starts, vec![0, 10, 20, 30]);
     }
 
+    /// The footer bytes of a valid file.
+    fn footer_of(bytes: &[u8]) -> &[u8] {
+        let end = bytes.len() - TAIL_BYTES;
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&bytes[end..end + 8]);
+        &bytes[end - u64::from_le_bytes(w) as usize..end]
+    }
+
+    /// Replace a valid file's footer with `footer`, re-sealing its
+    /// length and checksum so only the footer's content is hostile.
+    fn with_footer(bytes: &[u8], footer: &[u8]) -> Vec<u8> {
+        let footer_start = bytes.len() - TAIL_BYTES - footer_of(bytes).len();
+        let mut out = bytes[..footer_start].to_vec();
+        out.extend_from_slice(footer);
+        out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(footer).to_le_bytes());
+        out.extend_from_slice(&TAIL_MAGIC);
+        out
+    }
+
+    #[test]
+    fn deeply_nested_footer_is_rejected_not_a_stack_overflow() {
+        let bytes =
+            TraceArtifact::from_log(&sample_merged_log(), "t", TraceHealth::default()).to_bytes();
+        // The re-sealing itself is sound: the original footer still loads.
+        assert_eq!(with_footer(&bytes, footer_of(&bytes)), bytes);
+        // The checksum is not cryptographic: anyone can seal a footer.
+        let hostile = with_footer(&bytes, "[".repeat(200_000).as_bytes());
+        assert!(matches!(
+            load_trace(&hostile),
+            Err(PersistError::BadFooter(_))
+        ));
+        assert_eq!(load_trace_lenient(&hostile).health.unreadable, 1);
+    }
+
     #[test]
     fn version_and_magic_are_checked() {
         let log = TraceLog::new();
